@@ -1,13 +1,10 @@
 // cluster_playground — a tour of the cluster substrate itself: runs
 // PageRank on the simulated BSP cluster under two partitions and prints the
-// per-iteration timeline (who computed how long, who waited), then
-// demonstrates the *threaded* BSP executor with a message-passing token
-// ring, the same double-buffered superstep semantics real engines use.
+// per-iteration timeline (who computed how long, who waited).
 //
 // Usage: cluster_playground [--graph=twitter] [--parts=8]
 #include <cstdio>
 
-#include "cluster/threaded.hpp"
 #include "engine/pagerank.hpp"
 #include "graph/datasets.hpp"
 #include "partition/registry.hpp"
@@ -41,30 +38,10 @@ int main(int argc, char** argv) {
       graph::build_dataset(graph::dataset_spec(opts.get("graph", "twitter")));
   const auto k = static_cast<partition::PartId>(opts.get_int("parts", 8));
 
-  // --- Part 1: simulated-time accounting ---------------------------------
   for (const char* algo : {"chunk-v", "bpart"}) {
     const auto parts = partition::create(algo)->partition(g, k);
     const auto result = engine::pagerank(g, parts);
     timeline(std::string("PageRank under ") + algo, result.run);
   }
-
-  // --- Part 2: real threads, real barriers --------------------------------
-  // A token circulates the ring of machines; each machine stamps it.
-  std::printf("\nThreaded BSP token ring (%u machines):\n", k);
-  const std::size_t supersteps = cluster::ThreadedBsp::run(
-      k, 64, [&](cluster::MachineContext& ctx, std::size_t step) {
-        if (step == 0 && ctx.self() == 0) ctx.send(1 % k, 1);
-        for (const cluster::Envelope& e : ctx.inbox()) {
-          const std::uint64_t hops = e.payload;
-          if (hops < 2 * k) {
-            ctx.send((ctx.self() + 1) % k, hops + 1);
-          } else {
-            std::printf("  token retired at machine %u after %llu hops\n",
-                        ctx.self(), static_cast<unsigned long long>(hops));
-          }
-        }
-        return cluster::Vote::kHalt;  // messages alone keep the ring alive
-      });
-  std::printf("  ring completed in %zu supersteps\n", supersteps);
   return 0;
 }

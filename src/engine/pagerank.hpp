@@ -1,6 +1,8 @@
 // Distributed PageRank (push-style, fixed iteration count) — one of the two
 // Gemini applications in the paper's evaluation (§4.1 runs PR for ten
-// iterations).
+// iterations). This engine counts work and messages on the simulated
+// cluster; dist::pagerank (dist/pagerank.hpp) runs the same computation on
+// real threads with measured time.
 #pragma once
 
 #include <vector>
@@ -33,16 +35,5 @@ PageRankResult pagerank(const graph::Graph& g,
                         const partition::Partition& parts,
                         const PageRankConfig& cfg = {},
                         cluster::CostModel model = {});
-
-/// The same computation executed on REAL threads over the message-passing
-/// BSP executor (cluster::ThreadedBsp): one thread per partition, owned
-/// state only, cross-machine contributions shipped as datagrams (vertex id
-/// + float contribution packed into the payload), dangling mass reduced by
-/// broadcast. Exists to validate that the accounting engine's results are
-/// what a genuinely distributed execution produces; contributions travel as
-/// floats, so ranks match pagerank() to ~1e-4 rather than bit-exactly.
-PageRankResult pagerank_threaded(const graph::Graph& g,
-                                 const partition::Partition& parts,
-                                 const PageRankConfig& cfg = {});
 
 }  // namespace bpart::engine

@@ -6,10 +6,26 @@
 
 namespace bpart::graph {
 
+namespace {
+
+/// Rejects an endpoint id that would wrap the vertex count: id + 1 must fit
+/// in a VertexId, and kInvalidVertex itself is reserved as the sentinel.
+/// Only called when `hi` grows the count, so the common path stays free.
+void check_vertex_id(VertexId hi) {
+  BPART_CHECK_MSG(hi < kInvalidVertex,
+                  "vertex id " << hi << " exceeds the 32-bit id limit: ids "
+                  "must be below kInvalidVertex = " << kInvalidVertex);
+}
+
+}  // namespace
+
 void EdgeList::add(VertexId src, VertexId dst) {
-  edges_.push_back(Edge{src, dst});
   const VertexId hi = std::max(src, dst);
-  if (hi >= num_vertices_) num_vertices_ = hi + 1;
+  if (hi >= num_vertices_) {
+    check_vertex_id(hi);
+    num_vertices_ = hi + 1;
+  }
+  edges_.push_back(Edge{src, dst});
 }
 
 void EdgeList::add_undirected(VertexId src, VertexId dst) {
@@ -28,8 +44,11 @@ void EdgeList::append(std::span<const Edge> batch, VertexId max_vertex) {
   for (const Edge& e : batch) batch_max = std::max({batch_max, e.src, e.dst});
   BPART_DCHECK(batch_max <= max_vertex);
   if (batch_max > max_vertex) max_vertex = batch_max;
+  if (max_vertex >= num_vertices_) {
+    check_vertex_id(max_vertex);
+    num_vertices_ = max_vertex + 1;
+  }
   edges_.insert(edges_.end(), batch.begin(), batch.end());
-  if (max_vertex >= num_vertices_) num_vertices_ = max_vertex + 1;
 }
 
 void EdgeList::set_num_vertices(VertexId n) {

@@ -5,6 +5,8 @@
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "partition/registry.hpp"
+#include "walk/apps.hpp"
+#include "walk/walk_engine.hpp"
 
 namespace bpart::walk {
 namespace {
@@ -16,6 +18,26 @@ graph::Graph cycle_graph(graph::VertexId n) {
   edges.reserve(n);
   for (graph::VertexId v = 0; v < n; ++v) edges.add(v, (v + 1) % n);
   return graph::Graph::from_edges(edges);
+}
+
+// Watts-Strogatz ring lattice: high locality, no dead ends.
+graph::Graph lattice() {
+  graph::WattsStrogatzConfig cfg;
+  cfg.num_vertices = 1024;
+  cfg.k = 4;
+  cfg.beta = 0.2;
+  cfg.seed = 3;
+  return graph::Graph::from_edges(graph::watts_strogatz(cfg));
+}
+
+// Directed R-MAT: its sinks end walks early, so step totals depend on
+// the trajectories actually walked.
+graph::Graph rmat_with_sinks() {
+  graph::RmatConfig cfg;
+  cfg.scale = 10;
+  cfg.edge_factor = 4;
+  cfg.seed = 9;
+  return graph::Graph::from_edges(graph::rmat(cfg));
 }
 
 TEST(DistWalk, StepConservationOnCycle) {
@@ -58,21 +80,30 @@ TEST(DistWalk, SinglePartitionNeverShips) {
   EXPECT_EQ(r.supersteps, 1u);  // all walks complete in the first superstep
 }
 
-TEST(DistWalk, MatchesThreadedEngineExactly) {
-  // Both engines draw from the counter streams keyed (seed, walker, step),
-  // so trajectories — not just totals — are identical: step AND
-  // message-walk counts must agree exactly.
-  const graph::Graph g = cycle_graph(512);
+TEST(DistWalk, MatchesRunWalksExactly) {
+  // Both engines draw from the counter streams keyed (seed, walker, step)
+  // and index neighbors in global-id order, so trajectories — not just
+  // totals — are identical: step AND message-walk counts agree exactly.
+  // The graph's sinks exercise dead ends as well.
+  const graph::Graph g = rmat_with_sinks();
   const partition::Partition parts =
-      partition::create("chunk-v")->partition(g, 4);
+      partition::create("hash")->partition(g, 4);
   ThreadedWalkConfig cfg;
   cfg.length = 8;
   cfg.walks_per_vertex = 2;
+  cfg.seed = 17;
   const DistWalkReport dist = run_simple_walks_dist(g, parts, cfg);
-  const ThreadedWalkReport threaded =
-      run_simple_walks_threaded(g, parts, cfg);
-  EXPECT_EQ(dist.total_steps, threaded.total_steps);
-  EXPECT_EQ(dist.message_walks, threaded.message_walks);
+
+  WalkConfig scfg;
+  scfg.walks_per_vertex = cfg.walks_per_vertex;
+  scfg.seed = cfg.seed;
+  scfg.exec.threads = 2;
+  const WalkReport sim =
+      run_walks(g, parts, SimpleRandomWalk(cfg.length), scfg);
+  EXPECT_EQ(dist.total_steps, sim.total_steps);
+  EXPECT_EQ(dist.message_walks, sim.message_walks);
+  EXPECT_LT(dist.total_steps, static_cast<std::uint64_t>(g.num_vertices()) *
+                                  cfg.walks_per_vertex * cfg.length);
 }
 
 TEST(DistWalk, ExecPathMatchesSequentialDrain) {
@@ -97,6 +128,56 @@ TEST(DistWalk, ExecPathMatchesSequentialDrain) {
     EXPECT_EQ(got.total_steps, base.total_steps) << threads << " threads";
     EXPECT_EQ(got.message_walks, base.message_walks) << threads << " threads";
     EXPECT_EQ(got.supersteps, base.supersteps) << threads << " threads";
+  }
+}
+
+TEST(DistWalk, DeadEndsTerminateEarly) {
+  graph::EdgeList el;
+  el.add(0, 1);
+  el.add(1, 2);  // 2 is a sink
+  const graph::Graph g = graph::Graph::from_edges(el);
+  partition::Partition parts(3, 2);
+  parts.assign(0, 0);
+  parts.assign(1, 1);
+  parts.assign(2, 0);
+  ThreadedWalkConfig cfg;
+  cfg.length = 10;
+  const DistWalkReport r = run_simple_walks_dist(g, parts, cfg);
+  // Walker@0: 2 steps; walker@1: 1 step; walker@2: 0.
+  EXPECT_EQ(r.total_steps, 3u);
+  // Walker@0 crosses 0->1 and 1->2; walker@1 crosses 1->2.
+  EXPECT_EQ(r.message_walks, 3u);
+}
+
+TEST(DistWalk, LocalPartitionNeedsFewerSuperstepsThanHash) {
+  const graph::Graph g = lattice();
+  ThreadedWalkConfig cfg;
+  cfg.length = 8;
+  const DistWalkReport chunk = run_simple_walks_dist(
+      g, partition::create("chunk-v")->partition(g, 4), cfg);
+  const DistWalkReport hash = run_simple_walks_dist(
+      g, partition::create("hash")->partition(g, 4), cfg);
+  EXPECT_EQ(chunk.total_steps, hash.total_steps);
+  EXPECT_LT(chunk.message_walks, hash.message_walks);
+  EXPECT_LT(chunk.supersteps, hash.supersteps);
+}
+
+TEST(DistWalk, StepsIndependentOfMachineCount) {
+  // Counter streams make a walker's trajectory a pure function of
+  // (seed, walker, step), not of the machine hosting it: step totals stay
+  // fixed as the partition count changes; only the crossing counts move.
+  const graph::Graph g = rmat_with_sinks();
+  ThreadedWalkConfig cfg;
+  cfg.length = 8;
+  cfg.seed = 13;
+  const DistWalkReport base = run_simple_walks_dist(
+      g, partition::create("chunk-v")->partition(g, 1), cfg);
+  EXPECT_LT(base.total_steps,
+            static_cast<std::uint64_t>(g.num_vertices()) * cfg.length);
+  for (const partition::PartId k : {2u, 5u}) {
+    const DistWalkReport r = run_simple_walks_dist(
+        g, partition::create("chunk-v")->partition(g, k), cfg);
+    EXPECT_EQ(r.total_steps, base.total_steps) << k << " machines";
   }
 }
 

@@ -110,6 +110,44 @@ TEST_P(DistParity, PowerLawGraph) {
   check_parity(*powerlaw_graph_, *powerlaw_base_, parts);
 }
 
+TEST(DistPageRank, MatchesEngineOnOneMachineAndShortRuns) {
+  // Edge shapes the parity sweep above does not reach: a single machine,
+  // a non-default iteration count, and a chain whose only dangling vertex
+  // sits alone on its machine (its mass must still reach every machine).
+  graph::RmatConfig rm;
+  rm.scale = 9;
+  rm.edge_factor = 8;
+  const graph::Graph g = graph::Graph::from_edges(graph::rmat(rm));
+  graph::EdgeList chain_edges;
+  chain_edges.add(0, 1);
+  chain_edges.add(1, 2);
+  const graph::Graph chain = graph::Graph::from_edges(chain_edges);
+  partition::Partition one_each(3, 3);
+  for (graph::VertexId v = 0; v < 3; ++v) one_each.assign(v, v);
+
+  engine::PageRankConfig short_run;
+  short_run.iterations = 3;
+  const struct {
+    const graph::Graph& g;
+    partition::Partition parts;
+    engine::PageRankConfig cfg;
+  } cases[] = {
+      {g, partition::create("chunk-v")->partition(g, 1), {}},
+      {g, partition::create("bpart")->partition(g, 2), short_run},
+      {chain, one_each, {}},
+  };
+  for (const auto& c : cases) {
+    const engine::PageRankResult want = engine::pagerank(c.g, c.parts, c.cfg);
+    const engine::PageRankResult got = dist::pagerank(c.g, c.parts, c.cfg);
+    double sum = 0;
+    for (graph::VertexId v = 0; v < c.g.num_vertices(); ++v) {
+      EXPECT_NEAR(got.rank[v], want.rank[v], 1e-10) << "vertex " << v;
+      sum += got.rank[v];
+    }
+    EXPECT_NEAR(sum, 1.0, 1e-9);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllPartitioners, DistParity,
     ::testing::ValuesIn(partition::all_algorithms()),

@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "graph/generators.hpp"
+#include "util/check.hpp"
 
 namespace bpart::graph {
 namespace {
@@ -117,6 +118,22 @@ TEST_F(IoTest, TextRejectsNegativeAndNonNumericIds) {
   g << "a b\n";
   g.close();
   EXPECT_THROW(load_text_edges(path("alpha.txt")), std::runtime_error);
+}
+
+TEST_F(IoTest, TextRejectsIdAtTheVertexIdLimit) {
+  // 4294967295 parses as a uint32_t but is kInvalidVertex; accepting it
+  // would wrap the vertex count to 0.
+  std::ofstream f(path("max.txt"));
+  f << "0 1\n4294967295 2\n";
+  f.close();
+  try {
+    load_text_edges(path("max.txt"));
+    FAIL() << "expected throw";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
+    EXPECT_NE(what.find("32-bit id limit"), std::string::npos) << what;
+  }
 }
 
 TEST_F(IoTest, TextRejectsMalformedLine) {

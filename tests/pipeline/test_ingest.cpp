@@ -10,6 +10,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "util/check.hpp"
 
 namespace bpart::pipeline {
 namespace {
@@ -130,6 +131,22 @@ TEST_F(IngestTest, MalformedLineThrowsWithByteOffset) {
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("byte offset 8"), std::string::npos) << what;
+  }
+}
+
+TEST_F(IngestTest, IdAtTheVertexIdLimitThrows) {
+  // 4294967295 parses as a uint32_t but is kInvalidVertex; accepting it
+  // would wrap the vertex count to 0.
+  write("max.txt", "0 1\n1 4294967295\n");
+  IngestConfig cfg;
+  cfg.threads = 2;
+  try {
+    ingest_text_edges(path("max.txt"), cfg);
+    FAIL() << "expected throw";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
+    EXPECT_NE(what.find("32-bit id limit"), std::string::npos) << what;
   }
 }
 

@@ -2,7 +2,7 @@
 // the exec core, walk outputs are bitwise identical at every thread count
 // and chunk size, the legacy sequential path is bit-identical to the
 // pre-parallel engine, and the counter-based RNG streams unify walker
-// trajectories across the simulated, threaded and dist engines.
+// trajectories across the simulated and dist engines.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,7 +14,6 @@
 #include "walk/apps.hpp"
 #include "walk/dist_walk.hpp"
 #include "walk/ppr_estimate.hpp"
-#include "walk/threaded_walk.hpp"
 #include "util/rng.hpp"
 #include "walk/walk_engine.hpp"
 #include "walk/weighted_walk.hpp"
@@ -155,15 +154,14 @@ TEST_F(ParallelWalk, LegacySequentialPathConsumesOneSharedStream) {
   EXPECT_EQ(got.visits, visits);
 }
 
-TEST_F(ParallelWalk, KeyedStreamsUnifyAllThreeEngines) {
+TEST_F(ParallelWalk, KeyedStreamsUnifySimulatedAndDistEngines) {
   // The same (seed, walker, step) keys drive the exec-core simulated
-  // engine, the threaded engine and the dist engine: identical step AND
-  // message-walk totals, not just statistics.
+  // engine and the dist engine: identical step AND message-walk totals,
+  // not just statistics.
   ThreadedWalkConfig tcfg;
   tcfg.length = 8;
   tcfg.walks_per_vertex = 2;
   tcfg.seed = 21;
-  const auto threaded = run_simple_walks_threaded(*graph_, *parts_, tcfg);
   const auto dist = run_simple_walks_dist(*graph_, *parts_, tcfg);
 
   WalkConfig cfg;
@@ -172,30 +170,8 @@ TEST_F(ParallelWalk, KeyedStreamsUnifyAllThreeEngines) {
   cfg.exec.threads = 2;
   const auto sim = run_walks(*graph_, *parts_, SimpleRandomWalk(8), cfg);
 
-  EXPECT_EQ(sim.total_steps, threaded.total_steps);
-  EXPECT_EQ(sim.message_walks, threaded.message_walks);
   EXPECT_EQ(sim.total_steps, dist.total_steps);
   EXPECT_EQ(sim.message_walks, dist.message_walks);
-}
-
-TEST_F(ParallelWalk, ThreadedStepsIndependentOfMachineCount) {
-  // Seed-routing regression: the old per-machine jump streams made walker
-  // trajectories depend on which machine hosted them, so step totals moved
-  // with the partition count. Counter streams make the trajectory a pure
-  // function of (seed, walker, step): only the crossing counts may differ.
-  ThreadedWalkConfig cfg;
-  cfg.length = 8;
-  cfg.seed = 13;
-  std::uint64_t base_steps = 0;
-  for (const unsigned k : {1u, 2u, 5u}) {
-    const auto r = run_simple_walks_threaded(
-        *graph_, partition::ChunkV().partition(*graph_, k), cfg);
-    if (k == 1) {
-      base_steps = r.total_steps;
-    } else {
-      EXPECT_EQ(r.total_steps, base_steps) << k << " machines";
-    }
-  }
 }
 
 TEST_F(ParallelWalk, PprEstimateDeterministicAcrossThreads) {
