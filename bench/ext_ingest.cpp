@@ -1,17 +1,18 @@
-// Extension — parallel ingest + artifact store, end to end.
+// Extension — sharded text parse + artifact store, end to end.
 //
 // Generates a >= 1M-edge graph, writes it as a text edge list, then times:
-//   1. the legacy single-threaded loader (graph::load_text_edges),
-//   2. the pipeline's sharded parser at 1 thread and at --threads (>= 4),
-//   3. a cold PipelineRunner run (parse + CSR + BPart partition, cache
+//   1. graph::load_text_edges at 1 thread and at --threads (>= 4); the
+//      1-thread row is the base of the speedup column,
+//   2. a cold PipelineRunner run (parse + CSR + BPart partition, cache
 //      populated), and
-//   4. a warm run, which must skip parse and partition entirely and serve
+//   3. a warm run, which must skip parse and partition entirely and serve
 //      both artifacts from the store (reported as cache-hit timing).
 //
-// Headline check: parallel ingest >= 2x faster than the legacy text path,
-// and the warm run orders of magnitude under the cold one.
+// Self-checks (exit 1): every thread count parses the same edge list, and
+// the warm run hits both caches.
 #include "common.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <unistd.h>
@@ -55,60 +56,57 @@ int main(int argc, char** argv) {
                  t.seconds());
   }
 
-  Table table({"stage", "seconds", "speedup_vs_legacy", "edges", "note"});
-  const auto row = [&](const std::string& stage, double seconds, double legacy,
+  Table table({"stage", "seconds", "speedup_vs_t1", "edges", "note"});
+  double base_s = 0;
+  const auto row = [&](const std::string& stage, double seconds,
                        std::uint64_t edges, const std::string& note) {
     table.row()
         .cell(stage)
         .cell(seconds)
-        .cell(seconds > 0 ? legacy / seconds : 0.0)
+        .cell(seconds > 0 ? base_s / seconds : 0.0)
         .cell(static_cast<double>(edges))
         .cell(note);
   };
 
-  // 1. Legacy single-threaded text loader.
-  Timer t;
-  const graph::EdgeList legacy_edges = graph::load_text_edges(text_path);
-  const double legacy_s = t.seconds();
-  row("legacy_load_text_edges", legacy_s, legacy_s, legacy_edges.size(), "");
-
-  // 2. Sharded parser, 1 thread and N threads.
+  // 1. The text parser at 1 thread and N threads.
+  graph::EdgeList base_edges;
   for (const unsigned n : {1u, threads}) {
-    pipeline::IngestConfig icfg;
-    icfg.threads = n;
-    pipeline::IngestReport rep;
-    const graph::EdgeList parsed =
-        pipeline::ingest_text_edges(text_path, icfg, &rep);
-    if (parsed.size() != legacy_edges.size()) {
-      std::fprintf(stderr, "[ext_ingest] edge count mismatch: %zu vs %zu\n",
-                   parsed.size(), legacy_edges.size());
+    graph::TextLoadReport rep;
+    graph::EdgeList parsed = graph::load_text_edges(text_path, n, &rep);
+    if (n == 1) {
+      base_s = rep.seconds;
+      base_edges = std::move(parsed);
+    } else if (parsed.size() != base_edges.size() ||
+               !std::ranges::equal(parsed.edges(), base_edges.edges())) {
+      std::fprintf(stderr, "[ext_ingest] %u-thread parse differs: %zu vs %zu "
+                   "edges\n", n, parsed.size(), base_edges.size());
       return 1;
     }
-    row("pipeline_ingest_t" + std::to_string(n), rep.seconds, legacy_s,
-        rep.edges, std::to_string(rep.shards) + " shards");
+    row("load_text_edges_t" + std::to_string(n), rep.seconds, rep.edges,
+        std::to_string(rep.shards) + " shards");
   }
 
-  // 3/4. Cold vs warm runner (parse + CSR + partition vs pure cache hits).
+  // 2/3. Cold vs warm runner (parse + CSR + partition vs pure cache hits).
   pipeline::PipelineConfig pcfg;
   pcfg.ingest.threads = threads;
   pcfg.cache_dir = (tmp / "cache").string();
   {
     pipeline::PipelineRunner cold(pcfg);
-    t.reset();
+    Timer t;
     (void)cold.run_file(text_path, "bpart", k);
     const auto& r = cold.report();
     bench::report().add_pipeline("cold", r);
-    row("cold_run_total", t.seconds(), legacy_s, r.edges,
+    row("cold_run_total", t.seconds(), r.edges,
         "ingest+csr+partition(bpart,k=" + std::to_string(k) + ")");
-    row("cold_run_partition", r.partition_seconds, legacy_s, r.edges, "");
+    row("cold_run_partition", r.partition_seconds, r.edges, "");
   }
   {
     pipeline::PipelineRunner warm(pcfg);
-    t.reset();
+    Timer t;
     (void)warm.run_file(text_path, "bpart", k);
     const auto& r = warm.report();
     bench::report().add_pipeline("warm", r);
-    row("warm_run_cache_hit", t.seconds(), legacy_s, r.edges,
+    row("warm_run_cache_hit", t.seconds(), r.edges,
         std::string("graph_hit=") + (r.graph_cache_hit ? "1" : "0") +
             " partition_hit=" + (r.partition_cache_hit ? "1" : "0"));
     if (!r.graph_cache_hit || !r.partition_cache_hit) {
@@ -118,7 +116,7 @@ int main(int argc, char** argv) {
   }
 
   table.set_precision(4);
-  bench::emit("Ext: parallel ingest + artifact store (" +
+  bench::emit("Ext: sharded text parse + artifact store (" +
                   std::to_string(threads) + " threads)",
               table, "ext_ingest");
   std::filesystem::remove_all(tmp);

@@ -1,6 +1,7 @@
 #include "graph/edge_list.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -19,6 +20,14 @@ void check_vertex_id(VertexId hi) {
 
 }  // namespace
 
+EdgeList::EdgeList(std::vector<Edge> edges) : edges_(std::move(edges)) {
+  if (edges_.empty()) return;
+  VertexId hi = 0;
+  for (const Edge& e : edges_) hi = std::max({hi, e.src, e.dst});
+  check_vertex_id(hi);
+  num_vertices_ = hi + 1;
+}
+
 void EdgeList::add(VertexId src, VertexId dst) {
   const VertexId hi = std::max(src, dst);
   if (hi >= num_vertices_) {
@@ -31,24 +40,6 @@ void EdgeList::add(VertexId src, VertexId dst) {
 void EdgeList::add_undirected(VertexId src, VertexId dst) {
   add(src, dst);
   edges_.push_back(Edge{dst, src});
-}
-
-void EdgeList::append(std::span<const Edge> batch, VertexId max_vertex) {
-  if (batch.empty()) return;
-  // Never trust the caller's claimed bound: an undercounted max_vertex
-  // would leave num_vertices_ smaller than an endpoint and every CSR built
-  // from this list indexing out of bounds. The scan is branch-light and
-  // vectorizes, so the hot ingest path keeps its speed; debug builds
-  // assert the contract, release builds clamp to the real bound.
-  VertexId batch_max = 0;
-  for (const Edge& e : batch) batch_max = std::max({batch_max, e.src, e.dst});
-  BPART_DCHECK(batch_max <= max_vertex);
-  if (batch_max > max_vertex) max_vertex = batch_max;
-  if (max_vertex >= num_vertices_) {
-    check_vertex_id(max_vertex);
-    num_vertices_ = max_vertex + 1;
-  }
-  edges_.insert(edges_.end(), batch.begin(), batch.end());
 }
 
 void EdgeList::set_num_vertices(VertexId n) {

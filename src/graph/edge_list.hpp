@@ -18,6 +18,10 @@ class EdgeList {
   EdgeList() = default;
   explicit EdgeList(VertexId num_vertices) : num_vertices_(num_vertices) {}
 
+  /// Adopts `edges` as-is; the vertex count covers every endpoint. Throws
+  /// CheckError for an id >= kInvalidVertex, like add().
+  explicit EdgeList(std::vector<Edge> edges);
+
   void reserve(std::size_t edges) { edges_.reserve(edges); }
 
   /// Appends a directed edge, growing the vertex count to cover both ends.
@@ -26,15 +30,6 @@ class EdgeList {
 
   /// Appends both (src,dst) and (dst,src).
   void add_undirected(VertexId src, VertexId dst);
-
-  /// Bulk-append a parsed batch whose largest endpoint id is `max_vertex`.
-  /// Equivalent to add() in a loop but without the per-edge vertex-count
-  /// update; the ingest pipeline's hot path. `max_vertex` is validated
-  /// against the batch: debug builds assert it covers every endpoint,
-  /// release builds clamp the vertex count to the real bound so an
-  /// undercounting caller can never produce an out-of-range edge list.
-  /// Rejects ids >= kInvalidVertex like add().
-  void append(std::span<const Edge> batch, VertexId max_vertex);
 
   [[nodiscard]] std::size_t size() const { return edges_.size(); }
   [[nodiscard]] bool empty() const { return edges_.empty(); }

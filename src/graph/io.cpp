@@ -1,12 +1,19 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <memory>
 #include <stdexcept>
-#include <string_view>
+
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "util/env.hpp"
+#include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace bpart::graph {
 
@@ -26,46 +33,145 @@ struct BinaryHeader {
   std::uint64_t num_edges;
 };
 
-bool parse_vertex(std::string_view tok, VertexId& out) {
-  const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), out);
-  return res.ec == std::errc{} && res.ptr == tok.data() + tok.size();
+enum class LineKind { kEdge, kSkip, kBad };
+
+/// Parse one line (sans '\n'): leading/trailing spaces, tabs and '\r' are
+/// trimmed; blank lines and '#'/'%' comments skip; separators are
+/// space/tab/comma; columns after dst are ignored.
+LineKind parse_line(const char* b, const char* e, Edge& out) {
+  while (b < e && (*b == ' ' || *b == '\t' || *b == '\r')) ++b;
+  while (e > b && (e[-1] == ' ' || e[-1] == '\t' || e[-1] == '\r')) --e;
+  if (b == e || *b == '#' || *b == '%') return LineKind::kSkip;
+  VertexId src = 0;
+  VertexId dst = 0;
+  const auto r1 = std::from_chars(b, e, src);
+  if (r1.ec != std::errc{} || r1.ptr == b || r1.ptr == e) return LineKind::kBad;
+  const char sep = *r1.ptr;
+  if (sep != ' ' && sep != '\t' && sep != ',') return LineKind::kBad;
+  const char* p = r1.ptr + 1;
+  while (p < e && (*p == ' ' || *p == '\t')) ++p;
+  const auto r2 = std::from_chars(p, e, dst);
+  if (r2.ec != std::errc{} || r2.ptr == p) return LineKind::kBad;
+  if (r2.ptr != e) {
+    const char c = *r2.ptr;
+    if (c != ' ' && c != '\t' && c != ',' && c != '\r') return LineKind::kBad;
+  }
+  out = {src, dst};
+  return LineKind::kEdge;
+}
+
+constexpr std::size_t kNoError = SIZE_MAX;
+
+/// One newline-aligned byte range [begin, end) of the file: it holds whole
+/// lines only, so shards parse independently.
+struct TextShard {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::vector<Edge> edges;
+  std::size_t bad = kNoError;  ///< Offset of the first malformed line.
+};
+
+void parse_shard(const char* text, TextShard& shard) {
+  BPART_SPAN("ingest/parse_shard", "bytes",
+             static_cast<double>(shard.end - shard.begin));
+  const char* p = text + shard.begin;
+  const char* const end = text + shard.end;
+  while (p < end) {
+    const auto* nl = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    Edge e;
+    switch (parse_line(p, nl != nullptr ? nl : end, e)) {
+      case LineKind::kEdge:
+        shard.edges.push_back(e);
+        break;
+      case LineKind::kSkip:
+        break;
+      case LineKind::kBad:
+        shard.bad = static_cast<std::size_t>(p - text);
+        return;
+    }
+    if (nl == nullptr) break;
+    p = nl + 1;
+  }
 }
 
 }  // namespace
 
-EdgeList load_text_edges(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) fail("cannot open edge list: " + path);
-  EdgeList edges;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(f, line)) {
-    ++line_no;
-    std::string_view sv(line);
-    // Trim surrounding whitespace — including '\r', so CRLF files (the
-    // normal case for SNAP/KONECT dumps saved on Windows) and blank
-    // trailing lines parse cleanly. Skip blanks and comments.
-    while (!sv.empty() &&
-           (sv.front() == ' ' || sv.front() == '\t' || sv.front() == '\r'))
-      sv.remove_prefix(1);
-    while (!sv.empty() &&
-           (sv.back() == ' ' || sv.back() == '\t' || sv.back() == '\r'))
-      sv.remove_suffix(1);
-    if (sv.empty() || sv.front() == '#' || sv.front() == '%') continue;
-    const auto sep = sv.find_first_of(" \t,");
-    if (sep == std::string_view::npos)
-      fail(path + ":" + std::to_string(line_no) + ": expected 'src dst'");
-    std::string_view src_tok = sv.substr(0, sep);
-    std::string_view dst_tok = sv.substr(sep + 1);
-    while (!dst_tok.empty() &&
-           (dst_tok.front() == ' ' || dst_tok.front() == '\t'))
-      dst_tok.remove_prefix(1);
-    const auto end = dst_tok.find_first_of(" \t\r,");
-    if (end != std::string_view::npos) dst_tok = dst_tok.substr(0, end);
-    VertexId src = 0, dst = 0;
-    if (!parse_vertex(src_tok, src) || !parse_vertex(dst_tok, dst))
-      fail(path + ":" + std::to_string(line_no) + ": bad vertex id");
-    edges.add(src, dst);
+EdgeList load_text_edges(const std::string& path, unsigned threads,
+                         TextLoadReport* report) {
+  BPART_SPAN("ingest/text_file");
+  obs::ScopedLatency latency(obs::latency("ingest.text_file"));
+  Timer timer;
+
+  std::error_code ec;
+  const std::size_t bytes = std::filesystem::file_size(path, ec);
+  if (ec) fail("cannot open edge list: " + path);
+  auto text = std::make_unique_for_overwrite<char[]>(bytes);
+  {
+    std::ifstream f(path, std::ios::binary);
+    if (!f) fail("cannot open edge list: " + path);
+    f.read(text.get(), static_cast<std::streamsize>(bytes));
+    if (f.gcount() != static_cast<std::streamsize>(bytes))
+      fail("cannot read edge list: " + path);
+  }
+
+  // Cut the file into shards that start at line starts. The calling thread
+  // reserves every shard's edges for the most its bytes can hold (the
+  // shortest edge line, "a b\n", is 4 bytes), so workers never allocate.
+  if (threads == 0) threads = thread_count();
+  const std::size_t num_shards = std::max<std::size_t>(
+      1, std::min<std::size_t>(std::size_t{threads} * kTextShardsPerThread,
+                               bytes / kTextMinShardBytes));
+  std::vector<TextShard> shards(num_shards);
+  const char* const data = text.get();
+  std::size_t cut = 0;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    shards[s].begin = cut;
+    cut = std::max(cut, bytes * (s + 1) / num_shards);
+    if (cut < bytes && data[cut - 1] != '\n') {
+      const auto* nl =
+          static_cast<const char*>(std::memchr(data + cut, '\n', bytes - cut));
+      cut = nl != nullptr ? static_cast<std::size_t>(nl - data) + 1 : bytes;
+    }
+    shards[s].end = cut;
+    shards[s].edges.reserve((cut - shards[s].begin) / 4 + 1);
+  }
+
+  const auto workers =
+      static_cast<unsigned>(std::min<std::size_t>(threads, num_shards));
+  const auto parse = [&](std::uint64_t lo, std::uint64_t hi) {
+    for (auto s = lo; s < hi; ++s) parse_shard(data, shards[s]);
+  };
+  parallel_for(0, num_shards, workers, parse);
+
+  for (const TextShard& shard : shards) {
+    if (shard.bad == kNoError) continue;
+    const auto line = 1 + std::count(data, data + shard.bad, '\n');
+    fail(path + ":" + std::to_string(line) + ": byte offset " +
+         std::to_string(shard.bad) + ": malformed line (expected 'src dst')");
+  }
+  text.reset();
+
+  // Concatenate in file order into one exact-size vector, releasing each
+  // shard as soon as it is copied.
+  std::size_t total = 0;
+  for (const TextShard& shard : shards) total += shard.edges.size();
+  std::vector<Edge> all;
+  all.reserve(total);
+  for (TextShard& shard : shards) {
+    all.insert(all.end(), shard.edges.begin(), shard.edges.end());
+    std::vector<Edge>().swap(shard.edges);
+  }
+  EdgeList edges(std::move(all));
+
+  obs::counter("ingest.edges").add(total);
+  obs::counter("ingest.bytes").add(bytes);
+  if (report != nullptr) {
+    report->seconds = timer.seconds();
+    report->bytes = bytes;
+    report->edges = total;
+    report->threads = workers;
+    report->shards = static_cast<unsigned>(num_shards);
   }
   return edges;
 }
@@ -89,13 +195,14 @@ EdgeList load_binary_edges(const std::string& path) {
     fail("bad magic in " + path + " (wrong format or endianness)");
   if (hdr.version != kBinaryVersion)
     fail("unsupported binary graph version " + std::to_string(hdr.version));
+  const auto payload = std::filesystem::file_size(path) - sizeof(hdr);
+  if (hdr.num_edges > payload / sizeof(Edge))
+    fail("truncated edge data in " + path);
   std::vector<Edge> raw(hdr.num_edges);
   f.read(reinterpret_cast<char*>(raw.data()),
          static_cast<std::streamsize>(sizeof(Edge) * raw.size()));
   if (!f) fail("truncated edge data in " + path);
-  EdgeList edges(hdr.num_vertices);
-  edges.reserve(raw.size());
-  for (const Edge& e : raw) edges.add(e.src, e.dst);
+  EdgeList edges(std::move(raw));
   edges.set_num_vertices(hdr.num_vertices);
   return edges;
 }

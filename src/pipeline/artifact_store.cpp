@@ -140,6 +140,14 @@ std::optional<std::vector<char>> read_payload(const std::string& path,
     reject(path, "key mismatch (hash collision or renamed entry)");
     return std::nullopt;
   }
+  // Check the declared size against the file before allocating, so a
+  // corrupt count is rejected instead of throwing std::bad_alloc.
+  std::error_code ec;
+  const std::uintmax_t file_bytes = fs::file_size(path, ec);
+  if (ec || hdr.payload_bytes > file_bytes - sizeof(hdr)) {
+    reject(path, "truncated payload");
+    return std::nullopt;
+  }
   std::vector<char> payload(hdr.payload_bytes);
   f.read(payload.data(), static_cast<std::streamsize>(payload.size()));
   if (!f || f.gcount() != static_cast<std::streamsize>(payload.size())) {

@@ -101,19 +101,10 @@ graph::Graph PipelineRunner::load_graph(const std::string& path) {
   }
   report_.cache_seconds = cache_timer.seconds();
 
-  // Cold path: stream batches off the bounded queue, counting degrees as
-  // they arrive, then build the CSR once the stream is drained.
-  graph::EdgeList edges;
-  std::vector<graph::EdgeId> degrees;
-  ingest_text_batches(
-      path, cfg_.ingest,
-      [&](EdgeBatch&& b) {
-        if (b.max_vertex >= degrees.size()) degrees.resize(b.max_vertex + 1, 0);
-        for (const graph::Edge& e : b.edges) ++degrees[e.src];
-        edges.append(b.edges, b.max_vertex);
-      },
-      &report_.ingest);
-  report_.degree_summary = stats::summarize(stats::to_doubles(degrees));
+  graph::EdgeList edges =
+      graph::load_text_edges(path, cfg_.ingest.threads, &report_.ingest);
+  report_.degree_summary =
+      stats::summarize(stats::to_doubles(edges.out_degrees()));
 
   Timer build_timer;
   graph::Graph g = cfg_.symmetrize

@@ -1,23 +1,28 @@
-// Streaming pipeline driver: parallel ingest -> degree counting -> CSR ->
+// Pipeline driver: sharded text parse -> degree counting -> CSR ->
 // streaming partitioner, with both expensive products (CSR graph, Partition)
 // cached in the artifact store.
 //
-// The runner is the front door benches/examples use instead of the
-// load_text_edges + registry::create two-step: a warm run skips parse and
-// partition entirely and reports cache-hit timings instead.
+// The runner is the front door benches/examples use instead of calling
+// graph::load_text_edges and registry::create themselves: a warm run skips
+// parse and partition entirely and reports cache-hit timings instead.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "graph/csr.hpp"
+#include "graph/io.hpp"
 #include "partition/partition.hpp"
 #include "pipeline/artifact_store.hpp"
-#include "pipeline/ingest.hpp"
 #include "util/env.hpp"
 #include "util/stats.hpp"
 
 namespace bpart::pipeline {
+
+struct IngestConfig {
+  /// Parser threads; 0 means bpart::thread_count().
+  unsigned threads = 0;
+};
 
 struct PipelineConfig {
   IngestConfig ingest;
@@ -46,7 +51,7 @@ struct PipelineConfig {
 
 /// Per-stage accounting of the most recent runner call.
 struct PipelineReport {
-  IngestReport ingest;            ///< Parse stage (zeroed on cache hit).
+  graph::TextLoadReport ingest;   ///< Parse stage (zeroed on cache hit).
   double build_seconds = 0;       ///< EdgeList -> CSR.
   double reorder_seconds = 0;     ///< Order computation + relabel (0 on hit).
   double partition_seconds = 0;   ///< Partitioner wall-clock (0 on hit).
@@ -56,8 +61,8 @@ struct PipelineReport {
   bool partition_cache_hit = false;
   graph::VertexId vertices = 0;
   graph::EdgeId edges = 0;
-  /// Dispersion of the out-degrees counted while the edge stream was
-  /// consumed (bias/fairness per util/stats); zeroed on graph cache hit.
+  /// Dispersion of the out-degrees of the parsed edge list (bias/fairness
+  /// per util/stats); zeroed on graph cache hit.
   stats::Summary degree_summary;
 };
 
@@ -65,8 +70,8 @@ class PipelineRunner {
  public:
   explicit PipelineRunner(PipelineConfig cfg = {});
 
-  /// Text edge list -> CSR through the parallel ingest path, artifact
-  /// cache consulted first. Throws like ingest_text_batches on bad input.
+  /// Text edge list -> CSR through graph::load_text_edges, artifact cache
+  /// consulted first. Throws like load_text_edges on bad input.
   graph::Graph load_graph(const std::string& path);
 
   /// Partition a graph under an explicit base key (file inputs get it from

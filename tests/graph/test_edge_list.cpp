@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/check.hpp"
 
 namespace bpart::graph {
@@ -24,32 +26,22 @@ TEST(EdgeList, AddUndirectedAddsBothDirections) {
   EXPECT_EQ(el[1], (Edge{2, 1}));
 }
 
-TEST(EdgeList, AppendCoveringMaxVertexGrowsCount) {
-  EdgeList el;
-  const std::vector<Edge> batch{{0, 5}, {3, 2}};
-  el.append(batch, 5);
+TEST(EdgeList, AdoptingConstructorCoversMaxVertex) {
+  const EdgeList el(std::vector<Edge>{{0, 5}, {3, 2}});
   EXPECT_EQ(el.size(), 2u);
   EXPECT_EQ(el.num_vertices(), 6u);
+  EXPECT_EQ(el[0], (Edge{0, 5}));
+  EXPECT_EQ(el[1], (Edge{3, 2}));
+  EXPECT_EQ(el.out_degrees().size(), 6u);
+  EXPECT_EQ(EdgeList(std::vector<Edge>{}).num_vertices(), 0u);
 }
 
-TEST(EdgeList, AppendValidatesClaimedMaxVertex) {
-  // Regression: append() used to trust the caller's max_vertex, so an
-  // undercount left num_vertices() smaller than an endpoint and every CSR
-  // built from the list indexed out of bounds. Debug builds assert the
-  // contract; release builds clamp to the real bound.
-  EdgeList el;
-  const std::vector<Edge> batch{{0, 7}, {2, 1}};
-#ifdef NDEBUG
-  el.append(batch, 1);  // Claims max endpoint 1; batch reaches 7.
-  EXPECT_EQ(el.num_vertices(), 8u);
-#else
-  EXPECT_THROW(el.append(batch, 1), CheckError);
-#endif
-  // A correct bound still works either way.
-  EdgeList ok;
-  ok.append(batch, 7);
-  EXPECT_EQ(ok.num_vertices(), 8u);
-  EXPECT_EQ(ok.out_degrees().size(), 8u);
+TEST(EdgeList, AdoptingConstructorRejectsIdAtTheLimit) {
+  // kInvalidVertex as an endpoint would wrap the vertex count to 0.
+  EXPECT_THROW(EdgeList(std::vector<Edge>{{0, 1}, {2, kInvalidVertex}}),
+               CheckError);
+  EXPECT_EQ(EdgeList(std::vector<Edge>{{kInvalidVertex - 1, 0}}).num_vertices(),
+            kInvalidVertex);
 }
 
 TEST(EdgeList, SetNumVerticesAllowsIsolatedTail) {

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 
@@ -195,6 +196,26 @@ TEST_F(IoTest, BinaryRejectsTruncatedFile) {
   const auto full = std::filesystem::file_size(path("t.bin"));
   std::filesystem::resize_file(path("t.bin"), full / 2);
   EXPECT_THROW(load_binary_edges(path("t.bin")), std::runtime_error);
+}
+
+TEST_F(IoTest, BinaryRejectsHugeDeclaredEdgeCount) {
+  // Regression: a flipped high bit in num_edges used to reach the vector
+  // allocation and throw std::length_error instead of std::runtime_error.
+  EdgeList el;
+  for (VertexId v = 0; v < 100; ++v) el.add(v, (v + 1) % 100);
+  save_binary_edges(el, path("huge.bin"));
+  // num_edges is the u64 after magic (8), version (4), num_vertices (4).
+  constexpr std::streamoff kNumEdgesOffset = 16;
+  std::fstream f(path("huge.bin"),
+                 std::ios::binary | std::ios::in | std::ios::out);
+  std::uint64_t declared = 0;
+  f.seekg(kNumEdgesOffset);
+  f.read(reinterpret_cast<char*>(&declared), sizeof(declared));
+  declared ^= std::uint64_t{1} << 62;
+  f.seekp(kNumEdgesOffset);
+  f.write(reinterpret_cast<const char*>(&declared), sizeof(declared));
+  f.close();
+  EXPECT_THROW(load_binary_edges(path("huge.bin")), std::runtime_error);
 }
 
 }  // namespace

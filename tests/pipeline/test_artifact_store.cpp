@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 
@@ -115,6 +116,27 @@ TEST_F(ArtifactStoreTest, BitFlippedPayloadFailsChecksum) {
   f.write(&c, 1);
   f.close();
   EXPECT_FALSE(s.load_graph(key).has_value());
+}
+
+TEST_F(ArtifactStoreTest, HugeDeclaredPayloadIsRejectedAndRemoved) {
+  // Regression: a flipped high bit in the header's payload_bytes used to
+  // be allocated as-is and throw std::bad_alloc out of load_graph.
+  const CacheKey key = CacheKey::for_spec("hugecount");
+  const ArtifactStore s = store();
+  ASSERT_TRUE(s.store_graph(key, sample_graph()));
+  const fs::path file = only_artifact();
+  // payload_bytes is the u64 after magic (8), version (4), kind (4), key (8).
+  constexpr std::streamoff kPayloadBytesOffset = 24;
+  std::fstream f(file, std::ios::binary | std::ios::in | std::ios::out);
+  std::uint64_t declared = 0;
+  f.seekg(kPayloadBytesOffset);
+  f.read(reinterpret_cast<char*>(&declared), sizeof(declared));
+  declared ^= std::uint64_t{1} << 62;
+  f.seekp(kPayloadBytesOffset);
+  f.write(reinterpret_cast<const char*>(&declared), sizeof(declared));
+  f.close();
+  EXPECT_FALSE(s.load_graph(key).has_value());
+  EXPECT_FALSE(fs::exists(file)) << "corrupt entry must be removed";
 }
 
 TEST_F(ArtifactStoreTest, GarbageFileIsRejected) {

@@ -39,7 +39,6 @@ class RunnerTest : public ::testing::Test {
   [[nodiscard]] PipelineConfig config() const {
     PipelineConfig cfg;
     cfg.ingest.threads = 4;
-    cfg.ingest.batch_edges = 512;
     cfg.cache_dir = (dir_ / "cache").string();
     return cfg;
   }
@@ -56,10 +55,10 @@ void expect_same_partition(const partition::Partition& a,
 }
 
 TEST_F(RunnerTest, DeterministicModeMatchesLegacySingleStreamPath) {
-  // The pipeline must produce exactly the partition the pre-pipeline code
-  // path (load_text_edges -> from_edges -> registry) produced.
+  // The 4-thread runner must produce exactly the partition the two-step
+  // path (1-thread load_text_edges -> from_edges -> registry) produces.
   const graph::Graph legacy_g =
-      graph::Graph::from_edges(graph::load_text_edges(input_));
+      graph::Graph::from_edges(graph::load_text_edges(input_, 1));
   const partition::Partition legacy_p =
       partition::create("bpart")->partition(legacy_g, 8);
 
