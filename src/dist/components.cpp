@@ -56,7 +56,7 @@ engine::ComponentsResult connected_components(const graph::Graph& g,
   const graph::VertexId n = g.num_vertices();
   const MachineId machines = parts.num_parts();
 
-  const DistGraph dg(g, parts);
+  const DistGraph dg(g, parts, resolve_workers(opts.threads, machines));
   std::vector<CcMachine> state(machines);
   for (MachineId m = 0; m < machines; ++m) {
     const partition::Subgraph& sub = dg.subgraph(m);

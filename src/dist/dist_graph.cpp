@@ -6,8 +6,9 @@
 
 namespace bpart::dist {
 
-DistGraph::DistGraph(const graph::Graph& g, const partition::Partition& parts)
-    : g_(&g), subs_(partition::build_subgraphs(g, parts)) {
+DistGraph::DistGraph(const graph::Graph& g, const partition::Partition& parts,
+                     unsigned threads)
+    : g_(&g), subs_(partition::build_subgraphs(g, parts, threads)) {
   const graph::VertexId n = g.num_vertices();
   const MachineId machines = num_machines();
 

@@ -23,7 +23,10 @@ using cluster::MachineId;
 
 class DistGraph {
  public:
-  DistGraph(const graph::Graph& g, const partition::Partition& parts);
+  /// Builds the subgraphs on `threads` workers (the dist apps pass the
+  /// runtime's resolve_workers count); the result is thread-independent.
+  DistGraph(const graph::Graph& g, const partition::Partition& parts,
+            unsigned threads);
 
   static constexpr graph::VertexId kNoGhost = static_cast<graph::VertexId>(-1);
 

@@ -18,6 +18,7 @@
 // termination: all machines voted halt and no message is in flight.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <cstdint>
@@ -59,6 +60,15 @@ enum class FrontierMode : std::uint8_t { kSparse, kDense };
     std::uint64_t active_edges, std::uint64_t total_edges) {
   return active_edges * 20 > total_edges ? FrontierMode::kDense
                                          : FrontierMode::kSparse;
+}
+
+/// Worker threads the runtime uses for `machines` machines: `requested`
+/// capped at one per machine, or util::thread_count(machines) when 0.
+/// Loader-side work (the DistGraph build) runs on the same count.
+[[nodiscard]] inline unsigned resolve_workers(unsigned requested,
+                                              MachineId machines) {
+  return requested != 0 ? std::min<unsigned>(requested, machines)
+                        : thread_count(machines);
 }
 
 struct RuntimeConfig {
@@ -133,9 +143,7 @@ class Runtime {
   static RunResult run(MachineId machines, const RuntimeConfig& cfg,
                        Step&& step) {
     BPART_CHECK(machines >= 1);
-    const unsigned workers = cfg.threads != 0
-                                 ? std::min<unsigned>(cfg.threads, machines)
-                                 : thread_count(machines);
+    const unsigned workers = resolve_workers(cfg.threads, machines);
     const MachineId per = machines / workers;
     const MachineId extra = machines % workers;
     auto range_begin = [per, extra](unsigned t) {

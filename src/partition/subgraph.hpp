@@ -17,6 +17,12 @@
 namespace bpart::partition {
 
 /// One machine's share of the graph.
+///
+/// Run-order invariant: every local adjacency run is sorted by local id,
+/// so an owned vertex's out-run lists its owned neighbours (ascending
+/// global id) followed by its ghost neighbours (ascending global id), with
+/// parallel edges adjacent. Merging the two halves recovers the global
+/// run's order; the dist walk's draw-order table relies on this.
 struct Subgraph {
   /// Local ids 0..num_local-1 are owned vertices (in ascending global id
   /// order); ids num_local..num_local+num_ghosts-1 are ghosts (remote
@@ -39,8 +45,14 @@ struct Subgraph {
 /// vertex's complete out-adjacency is materialized (targets renumbered,
 /// remote targets becoming ghosts); ghost vertices carry no out-edges
 /// locally, exactly like Gemini's mirrors.
+///
+/// Linear time apart from sorting each part's distinct ghosts: parts are
+/// built on `threads` workers (contiguous blocks of parts, one n-entry
+/// global -> local scratch array per worker), and the output is identical
+/// at every thread count. Relies on g's sorted adjacency runs.
 std::vector<Subgraph> build_subgraphs(const graph::Graph& g,
-                                      const Partition& p);
+                                      const Partition& p,
+                                      unsigned threads = 1);
 
 /// Consistency check used by tests and loaders: every global edge appears
 /// exactly once across subgraphs, ghost tables are sound, and per-part cut

@@ -10,6 +10,7 @@
 #include "exec/scheduler.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bpart::walk {
 
@@ -39,24 +40,33 @@ struct WalkMachine {
 };
 
 /// Maps (owned local vertex, global-order draw index) -> local neighbor
-/// slot. The subgraph CSR sorts each adjacency run by *local* id, which
-/// pushes every ghost neighbor behind the owned ones; the counter-stream
-/// contract needs draw index k to mean "k-th neighbor in global-id order",
-/// exactly as the single-machine engines index the global CSR. One rank
-/// entry per local edge restores that order.
-std::vector<graph::EdgeId> global_rank_table(const partition::Subgraph& sub) {
-  std::vector<graph::EdgeId> rank(sub.local.num_edges());
-  std::vector<std::pair<graph::VertexId, graph::EdgeId>> run;
+/// slot. A subgraph run lists the owned neighbors before the ghost ones,
+/// each half ascending by global id (the Subgraph run-order invariant);
+/// the counter-stream contract needs draw index k to mean "k-th neighbor
+/// in global-id order", exactly as the single-machine engines index the
+/// global CSR. One linear merge of the two halves per run restores that
+/// order, one rank entry per local edge (`rank` holds num_edges entries).
+void fill_global_rank_table(const partition::Subgraph& sub,
+                            std::span<graph::EdgeId> rank) {
   for (graph::VertexId lid = 0; lid < sub.num_local; ++lid) {
-    const graph::EdgeId degree = sub.local.out_degree(lid);
-    run.clear();
-    for (graph::EdgeId k = 0; k < degree; ++k)
-      run.emplace_back(sub.global_id[sub.local.out_neighbor(lid, k)], k);
-    std::sort(run.begin(), run.end());
-    const graph::EdgeId base = sub.local.out_offsets()[lid];
-    for (graph::EdgeId k = 0; k < degree; ++k) rank[base + k] = run[k].second;
+    const auto run = sub.local.out_neighbors(lid);
+    const graph::EdgeId degree = run.size();
+    const graph::EdgeId split = static_cast<graph::EdgeId>(
+        std::partition_point(run.begin(), run.end(),
+                             [&](graph::VertexId t) {
+                               return t < sub.num_local;
+                             }) -
+        run.begin());
+    graph::EdgeId owned = 0;
+    graph::EdgeId ghost = split;
+    graph::EdgeId* out = rank.data() + sub.local.out_offsets()[lid];
+    while (owned < split && ghost < degree)
+      *out++ = sub.global_id[run[owned]] < sub.global_id[run[ghost]]
+                   ? owned++
+                   : ghost++;
+    while (owned < split) *out++ = owned++;
+    while (ghost < degree) *out++ = ghost++;
   }
-  return rank;
 }
 
 /// Advances one queued walker greedily (counter streams keyed on
@@ -100,10 +110,17 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
   const graph::VertexId n = g.num_vertices();
   const cluster::MachineId machines = parts.num_parts();
 
-  const dist::DistGraph dg(g, parts);
+  const unsigned workers = dist::resolve_workers(0, machines);
+  const dist::DistGraph dg(g, parts, workers);
+  // Sized on this thread and filled on the workers, like the subgraphs
+  // (see partition::build_subgraphs on which thread's heap they come from).
   std::vector<std::vector<graph::EdgeId>> rank(machines);
   for (cluster::MachineId m = 0; m < machines; ++m)
-    rank[m] = global_rank_table(dg.subgraph(m));
+    rank[m].resize(dg.subgraph(m).local.num_edges());
+  parallel_for(0, machines, workers, [&](std::uint64_t lo, std::uint64_t hi) {
+    for (auto m = static_cast<cluster::MachineId>(lo); m < hi; ++m)
+      fill_global_rank_table(dg.subgraph(m), rank[m]);
+  });
   std::vector<WalkMachine> state(machines);
   for (unsigned r = 0; r < cfg.walks_per_vertex; ++r)
     for (graph::VertexId v = 0; v < n; ++v)

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "../partition/test_graphs.hpp"
 #include "dist/mirror.hpp"
 #include "engine/components.hpp"
 #include "engine/pagerank.hpp"
+#include "util/check.hpp"
 #include "vcut/placers.hpp"
 #include "vcut/registry.hpp"
 #include "vcut/two_phase.hpp"
@@ -139,6 +141,28 @@ TEST(MirrorGraphTest, IsolatedVertexGetsAMasterReplica) {
     EXPECT_EQ(sh.global_out_degree[r], 0u);
   }
   EXPECT_EQ(found, 1u);
+}
+
+// Presence masks are one 64-bit word per vertex: 64 machines is the limit
+// and must hold, 65 must fail loudly instead of shifting past the word.
+TEST(MirrorGraphTest, RejectsMoreThan64Machines) {
+  const Graph g = square();
+  EdgePartition at_cap(g.num_edges(), kMaxParts);
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e)
+    at_cap.assign(e, kMaxParts - 1);
+  const MirrorGraph mg(g, at_cap, 17);
+  EXPECT_EQ(mg.num_machines(), kMaxParts);
+
+  EdgePartition over(g.num_edges(), kMaxParts + 1);
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) over.assign(e, kMaxParts);
+  try {
+    const MirrorGraph rejected(g, over, 17);
+    FAIL() << "expected CheckError for " << kMaxParts + 1 << " machines";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("up to 64 machines"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(MirrorPageRank, MatchesEngineOnEveryPlacer) {
