@@ -69,20 +69,14 @@ engine::PageRankResult pagerank(const graph::Graph& g,
   std::vector<PrExecState> pexec;
   if (exec_threads > 0) pexec.resize(machines);
 
-  // All per-machine state — rank/acc/share vectors, ghost slots, exec
-  // plans, boundary lists — is allocated and first written inside the
-  // runtime's init_machine hook, i.e. on the worker thread that owns the
-  // machine for the whole run, so a NUMA first-touch policy places each
-  // machine's pages next to its driver. The values written are
-  // thread-independent; only placement moves.
   const std::uint32_t chunk_edges = opts.exec.resolved_chunk_edges();
-  auto init_machine = [&](MachineId m) {
+  for (MachineId m = 0; m < machines; ++m) {
     const partition::Subgraph& sub = dg.subgraph(m);
     state[m].rank.assign(sub.num_local, inv_n);
     state[m].acc.assign(sub.num_local, 0.0);
     state[m].share.assign(sub.num_local, 0.0);
     state[m].ghosts.reset(sub.num_ghosts, 0.0);
-    if (exec_threads == 0) return;
+    if (exec_threads == 0) continue;
     PrExecState& px = pexec[m];
     px.ex = std::make_unique<exec::Executor>(exec_threads);
     px.out_plan = exec::ChunkScheduler::over_range(
@@ -98,7 +92,7 @@ engine::PageRankResult pagerank(const graph::Graph& g,
         if (t >= sub.num_local)
           px.boundary.emplace_back(v, t - sub.num_local);
     }
-  };
+  }
 
   // Protocol per superstep s (s = 0 .. iterations):
   //   1. drain: contributions and dangling shares emitted at s-1 complete
@@ -112,7 +106,6 @@ engine::PageRankResult pagerank(const graph::Graph& g,
   RuntimeConfig rcfg;
   rcfg.threads = opts.threads;
   rcfg.max_supersteps = cfg.iterations + 1;
-  rcfg.init_machine = init_machine;
   RunResult run = Runtime<PrMsg>::run(
       machines, rcfg, [&](Runtime<PrMsg>::Context& ctx, std::size_t s) {
         PrMachine& me = state[ctx.self()];

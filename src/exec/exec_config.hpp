@@ -1,6 +1,8 @@
 // Knobs of the intra-machine parallel execution core.
 //
-// Every engine- and dist-level app carries an ExecConfig. The zero value
+// Every engine-level app and the dist PageRank, CC, SSSP and mirror apps
+// carry an ExecConfig (the dist walk has no exec routing: it drains each
+// machine's queue sequentially). The zero value
 // means "consult the environment": $BPART_EXEC_THREADS picks the worker
 // count (unset keeps the app's legacy sequential code path, bit-identical
 // to before the exec core existed), $BPART_EXEC_CHUNK the edges-per-chunk

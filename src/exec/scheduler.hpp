@@ -74,6 +74,7 @@ class ChunkScheduler {
   [[nodiscard]] static ChunkScheduler over_list(std::size_t count, DegFn&& deg,
                                                 std::uint32_t chunk_edges) {
     BPART_CHECK(chunk_edges > 0);
+    BPART_CHECK_MSG(count <= 0xffffffffULL, "item space exceeds 32-bit chunks");
     ChunkScheduler plan;
     if (count == 0) return plan;
     plan.bounds_.push_back(0);
@@ -129,8 +130,7 @@ class Executor {
   /// workers. A latch parks every pool thread until all have claimed a
   /// slot, which guarantees the slots land on distinct OS threads; the
   /// worker→thread mapping of subsequent run() calls is the pool's normal
-  /// task pickup, so the placement is best-effort locality, not a pin
-  /// (combine with BPART_PIN=1 to keep pool threads on fixed cores).
+  /// task pickup, so the placement is best-effort locality, not a pin.
   template <typename Fn>
   void for_each_worker(Fn&& init) {
     if (threads_ <= 1 || pool_ == nullptr) {

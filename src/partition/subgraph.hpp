@@ -22,7 +22,7 @@ namespace bpart::partition {
 /// so an owned vertex's out-run lists its owned neighbours (ascending
 /// global id) followed by its ghost neighbours (ascending global id), with
 /// parallel edges adjacent. Merging the two halves recovers the global
-/// run's order; the dist walk's draw-order table relies on this.
+/// run's order.
 struct Subgraph {
   /// Local ids 0..num_local-1 are owned vertices (in ascending global id
   /// order); ids num_local..num_local+num_ghosts-1 are ghosts (remote

@@ -195,13 +195,6 @@ std::uint32_t vcut_batch() {
   }
 }
 
-bool pin_threads() {
-  const char* env = std::getenv("BPART_PIN");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return v == "1" || v == "true" || v == "on";
-}
-
 ReorderMode reorder_mode() {
   const char* env = std::getenv("BPART_REORDER");
   if (env == nullptr) return ReorderMode::kNone;

@@ -66,14 +66,6 @@ std::uint64_t global_seed();
 /// across thread counts.
 std::uint32_t vcut_batch();
 
-/// Round-robin thread pinning switch, read from $BPART_PIN on every call.
-/// "1"/"true"/"on" pins each worker thread of the exec-core pools and the
-/// dist runtime to a fixed CPU (slot mod hardware_concurrency) at thread
-/// start — hwloc-free NUMA/locality pinning that keeps first-touched pages
-/// next to the thread that touched them. Anything else (or unset) leaves
-/// scheduling to the OS.
-bool pin_threads();
-
 /// Vertex-relabeling mode the pipeline applies before partitioning, read
 /// from $BPART_REORDER on every call: "none" (default), "degree", "bfs",
 /// "random". Junk values warn and fall through to "none".

@@ -16,18 +16,10 @@
 
 namespace bpart {
 
-/// Pin the calling thread to CPU `slot % hardware_concurrency` (round
-/// robin, hwloc-free). No-op off Linux or when affinity calls fail — the
-/// pin is a locality hint, never a correctness requirement.
-void pin_this_thread(unsigned slot);
-
 class ThreadPool {
  public:
-  /// Spawns `workers` threads (>= 1). When $BPART_PIN is on, worker i pins
-  /// itself to CPU (pin_slot_base + i) round-robin at startup; the base
-  /// lets an owner reserve slot 0 for its own (caller-participates)
-  /// thread.
-  explicit ThreadPool(unsigned workers, unsigned pin_slot_base = 1);
+  /// Spawns `workers` threads (>= 1).
+  explicit ThreadPool(unsigned workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -53,10 +45,8 @@ class ThreadPool {
   void wait_idle();
 
  private:
-  void worker_loop(unsigned index);
+  void worker_loop();
 
-  unsigned pin_slot_base_ = 1;
-  bool pin_ = false;
   std::vector<std::thread> threads_;
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;

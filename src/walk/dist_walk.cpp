@@ -1,16 +1,11 @@
 #include "walk/dist_walk.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <span>
 #include <utility>
+#include <vector>
 
-#include "dist/dist_graph.hpp"
 #include "dist/runtime.hpp"
-#include "exec/scheduler.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
-#include "util/thread_pool.hpp"
+#include "walk/apps.hpp"
 
 namespace bpart::walk {
 
@@ -19,86 +14,14 @@ namespace {
 struct Walker {
   std::uint64_t id;
   std::uint32_t steps;
-  graph::VertexId at;  // global id in transit, local id while queued
-};
-
-/// One outgoing shipment: destination machine plus the walker in transit.
-struct Outgoing {
-  cluster::MachineId dst;
-  Walker w;
+  graph::VertexId at;  // global vertex id, queued and in transit alike
 };
 
 struct WalkMachine {
-  std::vector<Walker> queue;  // walkers currently on this machine (local ids)
+  std::vector<Walker> queue;  // walkers currently on this machine
   std::uint64_t total_steps = 0;
   std::uint64_t message_walks = 0;
-  // Exec path only: per-machine executor plus per-chunk outgoing buffers
-  // and step tallies, merged in chunk order after each superstep's run.
-  std::unique_ptr<exec::Executor> ex;
-  std::vector<std::vector<Outgoing>> chunk_out;
-  std::vector<std::uint64_t> chunk_steps;
 };
-
-/// Maps (owned local vertex, global-order draw index) -> local neighbor
-/// slot. A subgraph run lists the owned neighbors before the ghost ones,
-/// each half ascending by global id (the Subgraph run-order invariant);
-/// the counter-stream contract needs draw index k to mean "k-th neighbor
-/// in global-id order", exactly as the single-machine engines index the
-/// global CSR. One linear merge of the two halves per run restores that
-/// order, one rank entry per local edge (`rank` holds num_edges entries).
-void fill_global_rank_table(const partition::Subgraph& sub,
-                            std::span<graph::EdgeId> rank) {
-  for (graph::VertexId lid = 0; lid < sub.num_local; ++lid) {
-    const auto run = sub.local.out_neighbors(lid);
-    const graph::EdgeId degree = run.size();
-    const graph::EdgeId split = static_cast<graph::EdgeId>(
-        std::partition_point(run.begin(), run.end(),
-                             [&](graph::VertexId t) {
-                               return t < sub.num_local;
-                             }) -
-        run.begin());
-    graph::EdgeId owned = 0;
-    graph::EdgeId ghost = split;
-    graph::EdgeId* out = rank.data() + sub.local.out_offsets()[lid];
-    while (owned < split && ghost < degree)
-      *out++ = sub.global_id[run[owned]] < sub.global_id[run[ghost]]
-                   ? owned++
-                   : ghost++;
-    while (owned < split) *out++ = owned++;
-    while (ghost < degree) *out++ = ghost++;
-  }
-}
-
-/// Advances one queued walker greedily (counter streams keyed on
-/// (seed, walker id, step)), reporting crossings through `ship` and
-/// returning the steps taken. Identical draws whichever machine — or
-/// worker thread — runs it.
-template <typename ShipFn>
-std::uint64_t advance_walker(const Walker& w, const partition::Subgraph& sub,
-                             std::span<const graph::EdgeId> rank,
-                             const ThreadedWalkConfig& cfg,
-                             graph::VertexId num_local, ShipFn&& ship) {
-  std::uint32_t taken = w.steps;
-  graph::VertexId at = w.at;
-  std::uint64_t steps = 0;
-  while (taken < cfg.length) {
-    const auto degree = sub.local.out_degree(at);
-    if (degree == 0) break;
-    CounterRng rng(cfg.seed, w.id, taken);
-    const graph::VertexId next = sub.local.out_neighbor(
-        at, rank[sub.local.out_offsets()[at] + rng.bounded(degree)]);
-    ++taken;
-    ++steps;
-    if (next >= num_local) {
-      const graph::VertexId ghost = next - num_local;
-      ship(sub.ghost_owner[ghost],
-           Walker{w.id, taken, sub.global_id[num_local + ghost]});
-      break;
-    }
-    at = next;
-  }
-  return steps;
-}
 
 }  // namespace
 
@@ -109,81 +32,44 @@ DistWalkReport run_simple_walks_dist(const graph::Graph& g,
   BPART_CHECK(parts.fully_assigned());
   const graph::VertexId n = g.num_vertices();
   const cluster::MachineId machines = parts.num_parts();
+  const SimpleRandomWalk app(cfg.length);
 
-  const unsigned workers = dist::resolve_workers(0, machines);
-  const dist::DistGraph dg(g, parts, workers);
-  // Sized on this thread and filled on the workers, like the subgraphs
-  // (see partition::build_subgraphs on which thread's heap they come from).
-  std::vector<std::vector<graph::EdgeId>> rank(machines);
-  for (cluster::MachineId m = 0; m < machines; ++m)
-    rank[m].resize(dg.subgraph(m).local.num_edges());
-  parallel_for(0, machines, workers, [&](std::uint64_t lo, std::uint64_t hi) {
-    for (auto m = static_cast<cluster::MachineId>(lo); m < hi; ++m)
-      fill_global_rank_table(dg.subgraph(m), rank[m]);
-  });
   std::vector<WalkMachine> state(machines);
   for (unsigned r = 0; r < cfg.walks_per_vertex; ++r)
     for (graph::VertexId v = 0; v < n; ++v)
       state[parts[v]].queue.push_back(
-          Walker{static_cast<std::uint64_t>(r) * n + v, 0, dg.owner_local(v)});
-
-  const unsigned exec_threads = cfg.exec.resolved_threads();
-  // Walker batches are weight-free (see run_walks): 1/16th of the
-  // edge-chunk target, >= 1.
-  const std::uint32_t batch =
-      std::max<std::uint32_t>(1, cfg.exec.resolved_chunk_edges() / 16);
-  if (exec_threads > 0)
-    for (cluster::MachineId m = 0; m < machines; ++m)
-      state[m].ex = std::make_unique<exec::Executor>(exec_threads);
+          Walker{static_cast<std::uint64_t>(r) * n + v, 0, v});
 
   dist::RuntimeConfig rcfg;
   rcfg.max_supersteps = cfg.max_supersteps;
   dist::RunResult run = dist::Runtime<Walker>::run(
       machines, rcfg, [&](dist::Runtime<Walker>::Context& ctx, std::size_t) {
         WalkMachine& me = state[ctx.self()];
-        const partition::Subgraph& sub = dg.subgraph(ctx.self());
-        const graph::VertexId num_local = sub.num_local;
+        ctx.for_each_message([&](const Walker& w) { me.queue.push_back(w); });
 
-        ctx.for_each_message([&](const Walker& w) {
-          me.queue.push_back(Walker{w.id, w.steps, dg.owner_local(w.at)});
-        });
-
+        // Greedy advance on the global CSR: each step draws through
+        // SimpleRandomWalk::step on the stream keyed (seed, walker id,
+        // step), the draws run_walks makes, so trajectories match it by
+        // construction. A walker stops at its end, a dead end, or the
+        // first vertex owned by another machine, which it ships to.
         std::uint64_t steps = 0;
-        if (me.ex == nullptr) {
-          for (const Walker& w : me.queue)
-            steps += advance_walker(
-                w, sub, rank[ctx.self()], cfg, num_local,
-                [&](cluster::MachineId dst, Walker out) {
-                  ctx.send(dst, out);
-                  ++me.message_walks;
-                });
-        } else {
-          // Chunk the queue and buffer shipments per chunk; flushing the
-          // buffers in chunk order reproduces the sequential drain's
-          // channel content order exactly (chunks are contiguous slices of
-          // the queue), whatever worker ran each chunk.
-          const auto plan =
-              exec::ChunkScheduler::over_items(me.queue.size(), batch);
-          me.chunk_out.assign(plan.num_chunks(), {});
-          me.chunk_steps.assign(plan.num_chunks(), 0);
-          me.ex->run(plan, [&](unsigned, std::uint32_t c, std::uint32_t lo,
-                               std::uint32_t hi) {
-            auto& out = me.chunk_out[c];
-            std::uint64_t local_steps = 0;
-            for (std::uint32_t i = lo; i < hi; ++i)
-              local_steps += advance_walker(
-                  me.queue[i], sub, rank[ctx.self()], cfg, num_local,
-                  [&](cluster::MachineId dst, Walker shipped) {
-                    out.push_back(Outgoing{dst, shipped});
-                  });
-            me.chunk_steps[c] = local_steps;
-          });
-          for (std::size_t c = 0; c < me.chunk_out.size(); ++c) {
-            steps += me.chunk_steps[c];
-            for (const Outgoing& o : me.chunk_out[c]) {
-              ctx.send(o.dst, o.w);
+        for (const Walker& w : me.queue) {
+          WalkerState walker;
+          walker.current = w.at;
+          walker.steps_taken = w.steps;
+          for (;;) {
+            StepRng rng(cfg.seed, w.id, walker.steps_taken);
+            const StepDecision d = app.step(walker, g, rng);
+            if (d.terminate) break;
+            ++walker.steps_taken;
+            ++steps;
+            const cluster::MachineId there = parts[d.next];
+            if (there != ctx.self()) {
+              ctx.send(there, Walker{w.id, walker.steps_taken, d.next});
               ++me.message_walks;
+              break;
             }
+            walker.current = d.next;
           }
         }
         me.queue.clear();

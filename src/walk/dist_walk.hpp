@@ -1,23 +1,25 @@
 // Random-walk engine on the dist:: measured runtime. Each machine owns the
 // walkers currently on its vertices and advances them greedily (KnightKing's
-// compute phase); a walker crossing a partition boundary ships as one
-// Walker struct over a typed Channel<Walker> batch. There are no
+// compute phase), reading the out-runs of the vertices it owns straight from
+// the global CSR; a walker is (id, step, global vertex), and one crossing a
+// partition boundary ships as that Walker struct over a typed
+// Channel<Walker> batch. No per-machine subgraph is built. There are no
 // walker-count or length limits, and the returned cluster::RunReport
 // carries measured per-machine compute/wait seconds and walker bytes
 // shipped, so walk workloads plot on the same axes as the cost-model
 // simulations (fig13's measured column).
 //
-// Every step draws from the counter-based stream keyed on
-// (seed, walker, step), the same streams the exec-core run_walks path uses,
-// so a walker's trajectory is a pure function of the seed: step totals and
-// message-walk counts are identical across machine counts and thread counts,
-// and identical to run_walks() under the keyed mode.
+// Every step draws through SimpleRandomWalk::step on the counter-based
+// stream keyed on (seed, walker, step), the draw run_walks makes in its
+// keyed mode, so a walker's trajectory is a pure function of the seed:
+// step totals and message-walk counts are identical across machine counts
+// and BPART_THREADS, and identical to run_walks() under the keyed mode.
+// Each machine drains its queue sequentially, in arrival order.
 #pragma once
 
 #include <cstdint>
 
 #include "cluster/bsp.hpp"
-#include "exec/exec_config.hpp"
 #include "graph/csr.hpp"
 #include "partition/partition.hpp"
 
@@ -28,11 +30,6 @@ struct ThreadedWalkConfig {
   unsigned walks_per_vertex = 1;
   std::uint64_t seed = 1;
   std::size_t max_supersteps = 100000;
-  /// Exec-core routing for run_simple_walks_dist: resolved_threads() >= 1
-  /// advances each machine's walker queue on a per-machine Executor over
-  /// over_items chunks, with outgoing walkers merged in chunk order before
-  /// the channel flush — bitwise identical to the sequential drain.
-  exec::ExecConfig exec;
 };
 
 struct DistWalkReport {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "partition/registry.hpp"
+#include "util/rng.hpp"
 #include "walk/apps.hpp"
 #include "walk/walk_engine.hpp"
 
@@ -106,10 +112,11 @@ TEST(DistWalk, MatchesRunWalksExactly) {
                                   cfg.walks_per_vertex * cfg.length);
 }
 
-TEST(DistWalk, ExecPathMatchesSequentialDrain) {
-  // A branching graph so every step actually draws. Counter streams plus
-  // chunk-order channel flushes make the exec path reproduce the
-  // sequential drain exactly at every thread count.
+TEST(DistWalk, SameWalksAtEveryWorkerCount) {
+  // Each machine drains its queue in arrival order and the channel
+  // delivers in a fixed order, so how many runtime workers share the eight
+  // machines changes nothing: totals, superstep count and every
+  // per-superstep, per-machine send count are identical.
   graph::WattsStrogatzConfig wcfg;
   wcfg.num_vertices = 512;
   wcfg.k = 4;
@@ -117,18 +124,95 @@ TEST(DistWalk, ExecPathMatchesSequentialDrain) {
   wcfg.seed = 5;
   const graph::Graph g = graph::Graph::from_edges(graph::watts_strogatz(wcfg));
   const partition::Partition parts =
-      partition::create("chunk-v")->partition(g, 4);
+      partition::create("chunk-v")->partition(g, 8);
   ThreadedWalkConfig cfg;
   cfg.length = 10;
   cfg.walks_per_vertex = 2;
-  const DistWalkReport base = run_simple_walks_dist(g, parts, cfg);
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    cfg.exec.threads = threads;
-    const DistWalkReport got = run_simple_walks_dist(g, parts, cfg);
-    EXPECT_EQ(got.total_steps, base.total_steps) << threads << " threads";
-    EXPECT_EQ(got.message_walks, base.message_walks) << threads << " threads";
-    EXPECT_EQ(got.supersteps, base.supersteps) << threads << " threads";
+
+  const char* prev = std::getenv("BPART_THREADS");
+  const std::optional<std::string> saved =
+      prev != nullptr ? std::optional<std::string>(prev) : std::nullopt;
+  std::vector<DistWalkReport> runs;
+  for (const char* threads : {"1", "2", "8"}) {
+    ASSERT_EQ(setenv("BPART_THREADS", threads, 1), 0);
+    runs.push_back(run_simple_walks_dist(g, parts, cfg));
   }
+  if (saved.has_value())
+    ASSERT_EQ(setenv("BPART_THREADS", saved->c_str(), 1), 0);
+  else
+    ASSERT_EQ(unsetenv("BPART_THREADS"), 0);
+
+  const DistWalkReport& base = runs.front();
+  EXPECT_GT(base.message_walks, 0u);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const DistWalkReport& got = runs[i];
+    EXPECT_EQ(got.total_steps, base.total_steps) << "run " << i;
+    EXPECT_EQ(got.message_walks, base.message_walks) << "run " << i;
+    ASSERT_EQ(got.supersteps, base.supersteps) << "run " << i;
+    for (std::size_t s = 0; s < base.supersteps; ++s)
+      for (std::size_t m = 0; m < 8; ++m)
+        EXPECT_EQ(got.run.iterations[s].machines[m].messages_sent,
+                  base.run.iterations[s].machines[m].messages_sent)
+            << "run " << i << " superstep " << s << " machine " << m;
+  }
+}
+
+TEST(DistWalk, DifferentialAgainstRunWalksOnHostileInputs) {
+  // Seeded random multigraphs with self-loops, parallel edges, isolated
+  // vertices and sinks, under random partitions that include k > n and
+  // empty parts. The dist engine and the keyed run_walks must agree on
+  // step and message-walk totals, superstep count and every
+  // per-superstep, per-machine send count.
+  std::uint64_t shipped_past_n = 0;  // walkers shipped on k > n inputs
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Xoshiro256 rng(seed);
+    const auto n = static_cast<graph::VertexId>(1 + rng.bounded(48));
+    // Only the first `active` ids get edges: the rest stay isolated.
+    const auto active = static_cast<graph::VertexId>(1 + rng.bounded(n));
+    graph::EdgeList edges(n);
+    const std::uint64_t m = rng.bounded(3 * std::uint64_t{active} + 1);
+    for (std::uint64_t e = 0; e < m; ++e) {
+      const auto u = static_cast<graph::VertexId>(rng.bounded(active));
+      const auto v = static_cast<graph::VertexId>(rng.bounded(active));
+      edges.add(u, v);
+      if (rng.bounded(4) == 0) edges.add(u, v);  // parallel edge
+      if (rng.bounded(6) == 0) edges.add(u, u);  // self-loop
+    }
+    const graph::Graph g = graph::Graph::from_edges(edges);
+    ASSERT_EQ(g.num_vertices(), n);
+    // Every third seed has more parts than vertices; the rest draw
+    // k <= n, still leaving some parts empty by chance.
+    const auto k = static_cast<partition::PartId>(
+        seed % 3 == 0 ? n + 1 + rng.bounded(4) : 1 + rng.bounded(n));
+    partition::Partition parts(n, k);
+    for (graph::VertexId v = 0; v < n; ++v)
+      parts.assign(v, static_cast<partition::PartId>(rng.bounded(k)));
+
+    ThreadedWalkConfig cfg;
+    cfg.length = 1 + static_cast<unsigned>(rng.bounded(8));
+    cfg.walks_per_vertex = 1 + static_cast<unsigned>(rng.bounded(3));
+    cfg.seed = seed * 7919;
+    const DistWalkReport dist = run_simple_walks_dist(g, parts, cfg);
+
+    WalkConfig scfg;
+    scfg.walks_per_vertex = cfg.walks_per_vertex;
+    scfg.seed = cfg.seed;
+    scfg.exec.threads = 2;
+    const WalkReport sim =
+        run_walks(g, parts, SimpleRandomWalk(cfg.length), scfg);
+
+    EXPECT_EQ(dist.total_steps, sim.total_steps) << "seed " << seed;
+    EXPECT_EQ(dist.message_walks, sim.message_walks) << "seed " << seed;
+    if (k > n) shipped_past_n += dist.message_walks;
+    ASSERT_EQ(dist.supersteps, sim.run.iterations.size()) << "seed " << seed;
+    ASSERT_EQ(dist.run.num_machines, k) << "seed " << seed;
+    for (std::size_t s = 0; s < dist.supersteps; ++s)
+      for (partition::PartId p = 0; p < k; ++p)
+        EXPECT_EQ(dist.run.iterations[s].machines[p].messages_sent,
+                  sim.run.iterations[s].machines[p].messages_sent)
+            << "seed " << seed << " superstep " << s << " machine " << p;
+  }
+  EXPECT_GT(shipped_past_n, 0u);
 }
 
 TEST(DistWalk, DeadEndsTerminateEarly) {

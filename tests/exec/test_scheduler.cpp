@@ -187,6 +187,20 @@ TEST(ChunkScheduler, ItemChunksRejectZeroChunkSize) {
   EXPECT_THROW((void)ChunkScheduler::over_items(5, 0), CheckError);
 }
 
+TEST(ChunkScheduler, ListChunksRejectCountPast32Bits) {
+  // Chunk bounds are uint32: a list of 2^32 + 1 entries must fail loudly
+  // before the first deg() call rather than return wrapped bounds.
+  std::uint64_t calls = 0;
+  const auto zero_degree = [&](std::size_t) -> std::uint64_t {
+    ++calls;
+    return 0;
+  };
+  EXPECT_THROW((void)ChunkScheduler::over_list((std::size_t{1} << 32) + 1,
+                                               zero_degree, 0xffffffffu),
+               CheckError);
+  EXPECT_EQ(calls, 0u);
+}
+
 TEST(Executor, SingleThreadNeverSteals) {
   const auto offsets = offsets_for(std::vector<graph::EdgeId>(32, 1));
   const auto plan = ChunkScheduler::over_range(offsets, 0, 32, 2);
